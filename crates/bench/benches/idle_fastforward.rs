@@ -69,7 +69,7 @@ fn run_session(fast_forward: bool, n_instr: u64) -> u64 {
 
 fn bench_fastforward(c: &mut Criterion) {
     let params = OsProfile::Nt40.params();
-    let n_instr = latlab_core::calibrate_n(&params, params.freq.ms(1));
+    let n_instr = latlab_core::calibrate_n(&params, params.freq.ms(1), true);
 
     let mut group = c.benchmark_group("idle_fastforward");
     group.warm_up_time(Duration::from_millis(500));

@@ -57,7 +57,7 @@ fn bench_machine(c: &mut Criterion) {
     meas.bench_function("calibrate_n", |b| {
         b.iter(|| {
             let params = OsProfile::Nt40.params();
-            black_box(calibrate_n(&params, params.freq.ms(1)))
+            black_box(calibrate_n(&params, params.freq.ms(1), true))
         })
     });
     // Extraction over a sizable synthetic trace/log.

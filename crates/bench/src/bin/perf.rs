@@ -7,8 +7,7 @@
 //!
 //! ```text
 //! perf [--out FILE] [--iters N] [--jobs N] [--no-fastforward]
-//!      [--sweep-reps N] [--no-fork]
-//!      [--baseline FILE] [--tolerance PCT] [id ...]
+//!      [--sweep-reps N] [--baseline FILE] [--tolerance PCT] [id ...]
 //! ```
 //!
 //! For each scenario it reports per-run wall clock (min and mean over
@@ -29,8 +28,7 @@
 //! editing metrics, with snapshot forking and from scratch (min wall
 //! clock over 3 timed passes each), asserting the two produce
 //! bit-identical points and recording the wall-clock speedup
-//! (`--sweep-reps 0` skips it; `--no-fork` disables forking
-//! everywhere, which also skips the speedup measurement).
+//! (`--sweep-reps 0` skips it).
 //! Results land in `BENCH_repro.json` (override with `--out`) — the
 //! repo-root perf-trajectory file CI regenerates on every run as a
 //! regression gate.
@@ -43,8 +41,9 @@
 //! the same tolerance; when both carry a durability subsection, the
 //! WAL-on throughput is gated the same way (the WAL-overhead gate). A
 //! fresh sweep section is gated against an absolute fork-speedup floor
-//! (and against the baseline's speedup, when it has one). Both
-//! `latlab-perf-v1` and `latlab-perf-v2` baselines are accepted.
+//! (and against the baseline's speedup, when it has one). A baseline
+//! section written as `null` (e.g. by `--ingest-secs 0`) yields no gate
+//! for it; a present but malformed section is a parse error.
 //!
 //! `--no-fastforward` times the step-by-step idle path instead of the
 //! batched one — the two produce byte-identical results, so the delta is
@@ -57,7 +56,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use latlab_analysis::{EventClass, LatencySketch};
-use latlab_bench::{engine, pool, scenarios};
+use latlab_bench::{engine, pool, scenarios, RunConfig};
 use latlab_core::cli;
 use latlab_serve::{merge_full, slam, QueryPlane, ServeConfig, Server, ShardSnapshot};
 use serde::{Deserialize, Serialize};
@@ -67,8 +66,7 @@ const BIN: &str = "perf";
 const USAGE: &str = "\
 usage: perf [--out FILE] [--iters N] [--jobs N] [--no-fastforward]
             [--ingest-secs N] [--ingest-connections N]
-            [--sweep-reps N] [--no-fork]
-            [--baseline FILE] [--tolerance PCT] [id ...]";
+            [--sweep-reps N] [--baseline FILE] [--tolerance PCT] [id ...]";
 
 /// Per-scenario timing entry.
 #[derive(Serialize)]
@@ -237,17 +235,19 @@ struct BenchReport {
     ingest: Option<IngestBench>,
     /// Query-plane benchmark; absent when `--ingest-secs 0`.
     query: Option<QueryBench>,
-    /// Sweep-engine benchmark; absent when `--sweep-reps 0` or
-    /// `--no-fork`.
+    /// Sweep-engine benchmark; absent when `--sweep-reps 0`.
     sweep: Option<SweepBench>,
 }
 
-/// Minimal view of a perf report for `--baseline` comparison. Unknown
-/// JSON fields are ignored, so this reads both `latlab-perf-v1` and
-/// `latlab-perf-v2` files.
+/// The gated figures of a `--baseline` perf report. Unknown JSON fields
+/// are ignored; a section the baseline wrote as `null` is `None` and
+/// yields no gate, while a present but malformed section fails the parse.
 #[derive(Deserialize)]
-struct BaselineReport {
+struct Baseline {
     scenarios: Vec<BaselineScenario>,
+    ingest: Option<BaselineIngest>,
+    query: Option<BaselineQuery>,
+    sweep: Option<BaselineSweep>,
 }
 
 /// Per-scenario slice of a baseline file.
@@ -257,50 +257,18 @@ struct BaselineScenario {
     wall_ms_min: f64,
 }
 
-/// Ingest slice of a baseline file. Parsed separately from
-/// [`BaselineReport`] because the vendored deserializer rejects absent
-/// fields: a baseline written before the ingest benchmark existed (or
-/// with `--ingest-secs 0`, which serializes `null`) simply fails this
-/// parse and yields no ingest gate.
-#[derive(Deserialize)]
-struct BaselineIngestWrapper {
-    ingest: BaselineIngest,
-}
-
-/// The two ingest figures the gate compares.
+/// The ingest figures the gate compares.
 #[derive(Deserialize)]
 struct BaselineIngest {
     mb_per_sec: f64,
     query_p99_ms: f64,
-}
-
-/// Durability slice of a baseline file, parsed separately for the same
-/// reason as [`BaselineIngestWrapper`]: a baseline written before the
-/// WAL benchmark existed simply fails this parse and yields no
-/// WAL-overhead gate.
-#[derive(Deserialize)]
-struct BaselineDurabilityWrapper {
-    ingest: BaselineDurabilityIngest,
-}
-
-#[derive(Deserialize)]
-struct BaselineDurabilityIngest {
-    durability: BaselineDurability,
+    durability: Option<BaselineDurability>,
 }
 
 /// The durability figure the gate compares.
 #[derive(Deserialize)]
 struct BaselineDurability {
     wal_mb_per_sec: f64,
-}
-
-/// Query slice of a baseline file, parsed separately for the same
-/// reason as [`BaselineIngestWrapper`]: a baseline written before the
-/// query-plane benchmark existed simply fails this parse and yields no
-/// query-latency gate.
-#[derive(Deserialize)]
-struct BaselineQueryWrapper {
-    query: BaselineQuery,
 }
 
 /// The query figures the gate compares.
@@ -316,16 +284,7 @@ struct BaselineQueryLoad {
     query_p99_ms: f64,
 }
 
-/// Sweep slice of a baseline file, parsed separately for the same reason
-/// as [`BaselineIngestWrapper`]: a baseline written before the sweep
-/// benchmark existed simply fails this parse and yields no
-/// baseline-relative sweep gate (the absolute floor still applies to the
-/// fresh run).
-#[derive(Deserialize)]
-struct BaselineSweepWrapper {
-    sweep: BaselineSweep,
-}
-
+/// The sweep figures the gate compares.
 #[derive(Deserialize)]
 struct BaselineSweep {
     entries: Vec<BaselineSweepEntry>,
@@ -358,7 +317,7 @@ const GATE_NOISE_FLOOR_MS: f64 = 2.0;
 /// Compares fresh timings against a committed baseline; returns the list
 /// of scenarios that regressed beyond `tolerance_pct`.
 fn gate_against_baseline(
-    baseline: &BaselineReport,
+    baseline: &Baseline,
     fresh: &[ScenarioBench],
     tolerance_pct: f64,
 ) -> Vec<String> {
@@ -881,7 +840,6 @@ fn main() -> ExitCode {
     let mut iters = 3usize;
     let mut jobs = 0usize;
     let mut fastforward = true;
-    let mut fork = true;
     let mut sweep_reps = 5usize;
     let mut baseline_path: Option<String> = None;
     let mut tolerance_pct = 25.0f64;
@@ -924,7 +882,6 @@ fn main() -> ExitCode {
                 };
             }
             "--no-fastforward" => fastforward = false,
-            "--no-fork" => fork = false,
             "--sweep-reps" => {
                 match take("--sweep-reps").map(|v| v.parse::<usize>()) {
                     Ok(Ok(n)) => sweep_reps = n,
@@ -1011,10 +968,10 @@ fn main() -> ExitCode {
     // The pooled pass defaults to one worker per detected core; `--jobs`
     // overrides. (The sequential pass is, by definition, one worker.)
     let jobs_pooled = pool::resolve_jobs(jobs);
-    // Phase 1 runs scenarios on this thread, so the thread-local default
-    // covers it; the pooled pass gets the same setting via EngineConfig.
-    let _ff = latlab_os::fastforward::override_default(fastforward);
-    let _fork = latlab_bench::forkcfg::override_default(fork);
+    let run_cfg = RunConfig {
+        fastforward,
+        ..RunConfig::default()
+    };
 
     eprintln!(
         "perf: timing {} scenario(s), {iters} iter(s) each, pool of {jobs_pooled} worker(s), \
@@ -1036,7 +993,7 @@ fn main() -> ExitCode {
             let t0 = Instant::now();
             // A panicking scenario must not abort the whole timing pass:
             // record it as failed and keep timing the rest of the set.
-            let reports = match std::panic::catch_unwind(|| scenarios::run_by_id(id)) {
+            let reports = match std::panic::catch_unwind(|| scenarios::run(id, &run_cfg)) {
                 Ok(reports) => reports,
                 Err(_) => {
                     panicked = true;
@@ -1080,7 +1037,6 @@ fn main() -> ExitCode {
     let cfg = engine::EngineConfig {
         jobs: jobs_pooled,
         fastforward,
-        fork,
         ..engine::EngineConfig::default()
     };
     let t0 = Instant::now();
@@ -1210,8 +1166,7 @@ fn main() -> ExitCode {
 
     // Phase 5: the sweep-engine benchmark — forked vs scratch wall clock
     // of the full parameter grid on the warm fig5/fig7 editing metrics.
-    // Meaningless with forking globally disabled, so `--no-fork` skips it.
-    let sweep = if sweep_reps > 0 && fork {
+    let sweep = if sweep_reps > 0 {
         use latlab_bench::sweep::SweepMetric;
         use latlab_os::OsProfile;
         eprintln!("perf: sweep benchmark — full grid, {sweep_reps} rep(s), forked vs scratch");
@@ -1285,7 +1240,7 @@ fn main() -> ExitCode {
             Ok(t) => t,
             Err(e) => return cli::runtime_error(BIN, &format!("cannot read baseline {path}: {e}")),
         };
-        let baseline: BaselineReport = match serde_json::from_str(&text) {
+        let baseline: Baseline = match serde_json::from_str(&text) {
             Ok(b) => b,
             Err(e) => {
                 return cli::runtime_error(BIN, &format!("cannot parse baseline {path}: {e:?}"))
@@ -1293,40 +1248,22 @@ fn main() -> ExitCode {
         };
         eprintln!("perf: gating against {path} (tolerance {tolerance_pct}%)");
         let mut regressions = gate_against_baseline(&baseline, &report.scenarios, tolerance_pct);
-        // The ingest gate is opportunistic: it engages only when both the
-        // baseline and this run carry ingest figures.
-        if let (Ok(base), Some(now)) = (
-            serde_json::from_str::<BaselineIngestWrapper>(&text),
-            report.ingest.as_ref(),
-        ) {
-            regressions.extend(gate_ingest(&base.ingest, now, tolerance_pct));
+        // The ingest, WAL-overhead and query gates engage when both the
+        // baseline and this run carry the section.
+        if let (Some(base), Some(now)) = (&baseline.ingest, &report.ingest) {
+            regressions.extend(gate_ingest(base, now, tolerance_pct));
+            if let (Some(base), Some(now)) = (&base.durability, &now.durability) {
+                regressions.extend(gate_durability(base, now, tolerance_pct));
+            }
         }
-        // Likewise the WAL-overhead gate: only when both sides measured
-        // the durability pass.
-        if let (Ok(base), Some(now)) = (
-            serde_json::from_str::<BaselineDurabilityWrapper>(&text),
-            report.ingest.as_ref().and_then(|i| i.durability.as_ref()),
-        ) {
-            regressions.extend(gate_durability(&base.ingest.durability, now, tolerance_pct));
-        }
-        // And the query-latency gate, matched per scenario count; same
-        // opportunistic shape for pre-query-plane baselines.
-        if let (Ok(base), Some(now)) = (
-            serde_json::from_str::<BaselineQueryWrapper>(&text),
-            report.query.as_ref(),
-        ) {
-            regressions.extend(gate_query(&base.query, now, tolerance_pct));
+        if let (Some(base), Some(now)) = (&baseline.query, &report.query) {
+            regressions.extend(gate_query(base, now, tolerance_pct));
         }
         // The sweep gate has an absolute floor, so it engages whenever
         // this run measured the sweep — with or without a sweep section
         // in the baseline.
-        if let Some(now) = report.sweep.as_ref() {
-            let base = serde_json::from_str::<BaselineSweepWrapper>(&text).ok();
-            regressions.extend(gate_sweep(
-                base.as_ref().map(|b| &b.sweep),
-                now,
-                tolerance_pct,
-            ));
+        if let Some(now) = &report.sweep {
+            regressions.extend(gate_sweep(baseline.sweep.as_ref(), now, tolerance_pct));
         }
         if !regressions.is_empty() {
             eprintln!("perf: {} measurement(s) regressed:", regressions.len());
@@ -1341,4 +1278,30 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn committed_baseline_carries_every_gated_section() {
+        let text = include_str!("../../../../BENCH_repro.json");
+        let baseline: Baseline = serde_json::from_str(text).expect("baseline parses");
+        assert!(!baseline.scenarios.is_empty());
+        let ingest = baseline.ingest.expect("ingest section");
+        assert!(ingest.durability.is_some(), "durability section");
+        assert!(baseline.query.is_some(), "query section");
+        assert!(baseline.sweep.is_some(), "sweep section");
+    }
+
+    #[test]
+    fn null_sections_parse_and_malformed_sections_fail() {
+        let skipped = r#"{"scenarios": [], "ingest": null, "query": null, "sweep": null}"#;
+        let baseline: Baseline = serde_json::from_str(skipped).expect("null sections parse");
+        assert!(baseline.ingest.is_none() && baseline.query.is_none());
+        let malformed = r#"{"scenarios": [], "ingest": {"mb_per_sec": 1.0},
+            "query": null, "sweep": null}"#;
+        assert!(serde_json::from_str::<Baseline>(malformed).is_err());
+    }
 }

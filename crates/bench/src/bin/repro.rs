@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! repro [--out DIR] [--record DIR] [--jobs N] [--faults SPEC]
-//!       [--timeout SECS] [--no-fastforward] [--no-fork] [--list] [id ...]
+//!       [--timeout SECS] [--no-fastforward] [--list] [id ...]
 //! ```
 //!
 //! With no ids, every experiment runs in presentation order. Artifacts
@@ -29,12 +29,16 @@
 //! `FAILED` while every other scenario still runs to completion; the exit
 //! code is non-zero only after the whole pass finishes.
 //!
-//! `--no-fastforward` disables the kernel's batched idle-loop simulation.
-//! The fast-forward contract makes every output byte-identical either way
+//! Each scenario runs under its own run configuration (fast-forward, fault
+//! plan, and a recorder scoped to the scenario id), handed to every
+//! machine it boots — nothing is carried between scenarios on a worker.
+//!
+//! `--no-fastforward` disables the kernel's batched idle-loop simulation
+//! on every machine, calibration scratch machines included. The
+//! fast-forward contract makes every output byte-identical either way
 //! (stdout, artifacts, traces); the flag exists for equivalence audits and
-//! for benchmarking the step-by-step path. `--no-fork` does the same for
-//! the sweep engine's snapshot forking: scenarios that sweep re-simulate
-//! every point from scratch, with byte-identical output.
+//! for benchmarking the step-by-step path (compare `--jobs 1` wall clock
+//! on stderr with and without it).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -48,7 +52,7 @@ const BIN: &str = "repro";
 
 const USAGE: &str = "\
 usage: repro [--out DIR] [--record DIR] [--jobs N] [--faults SPEC|@FILE]
-             [--timeout SECS] [--no-fastforward] [--no-fork] [--list] [id ...]";
+             [--timeout SECS] [--no-fastforward] [--list] [id ...]";
 
 /// Parses `--faults` input: an inline spec string, or `@FILE` naming a
 /// TOML plan file.
@@ -126,9 +130,6 @@ fn main() -> ExitCode {
                         )
                     }
                 }
-            }
-            "--no-fork" => {
-                cfg.fork = false;
             }
             "--no-fastforward" => {
                 cfg.fastforward = false;

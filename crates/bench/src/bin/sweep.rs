@@ -10,6 +10,7 @@
 //! re-simulates every point and repetition from scratch; the printed
 //! results are bit-identical either way — fork accounting goes to
 //! stderr so stdout and `--csv` output can be diffed across modes).
+//! Sweep machines always run with idle fast-forward on.
 //!
 //! Usage errors exit 2; a sweep whose points fail exits 1.
 
@@ -28,7 +29,7 @@ fn usage_text() -> String {
     format!(
         "usage: sweep --os <nt351|nt40|win95> --param <name> --metric <name> \
          --values a,b,c [--reps N] [--jobs N] [--csv FILE] [--no-fork] \
-         [--no-fastforward] [--list]\n\
+         [--list]\n\
          params:  {}\nmetrics: {}",
         SweepParam::ALL.map(|p| p.name()).join(", "),
         SweepMetric::ALL.map(|m| m.name()).join(", ")
@@ -79,7 +80,6 @@ fn main() -> ExitCode {
     let mut values: Vec<u64> = Vec::new();
     let mut reps = 1usize;
     let mut jobs = 0usize;
-    let mut fastforward = true;
     let mut fork = true;
     let mut csv: Option<String> = None;
     let mut args = std::env::args().skip(1);
@@ -87,7 +87,6 @@ fn main() -> ExitCode {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--version" => return cli::print_version(BIN),
-            "--no-fastforward" => fastforward = false,
             "--no-fork" => fork = false,
             "--list" => {
                 print_list();
@@ -174,8 +173,7 @@ fn main() -> ExitCode {
     );
     // Supervised: a point that panics is reported below, after every other
     // point has still been measured; only then does the exit code go red.
-    // Workers inherit this thread's fast-forward and fork settings.
-    let _ff = latlab_os::fastforward::override_default(fastforward);
+    // The fork setting is read on this thread, before points fan out.
     let _fork = forkcfg::override_default(fork);
     let (outcomes, stats) = run_sweep_supervised(os, param, metric, &values, reps, jobs, None);
     let max = outcomes

@@ -5,12 +5,11 @@
 //! `perf` harness, and the determinism tests. It owns the per-scenario
 //! concerns that must compose with parallelism:
 //!
-//! * **recording** — each scenario enables scenario-scoped trace recording
-//!   on whatever worker thread runs it (see [`crate::record`]), so trace
-//!   file names and bytes are independent of scheduling;
-//! * **fault injection** — each scenario installs the configured
-//!   [`FaultPlan`] on its worker (see [`crate::faultcfg`]); plans are
-//!   self-seeded, so injected faults are scheduling-independent too;
+//! * **run configuration** — each scenario gets its own [`RunConfig`]
+//!   (fast-forward, fault plan, and a [`Recorder`] scoped to the scenario
+//!   id), passed by argument to every machine it boots; trace file names
+//!   and bytes, and the self-seeded injected faults, are therefore
+//!   independent of scheduling;
 //! * **artifacts** — each scenario writes its own `results/<id>/` subtree
 //!   from its worker (disjoint paths, no coordination needed); write errors
 //!   are carried back on the result instead of printed out of order;
@@ -27,8 +26,10 @@ use std::time::Duration;
 use latlab_faults::FaultPlan;
 
 use crate::pool::JobOutcome;
+use crate::record::Recorder;
 use crate::report::ExperimentReport;
-use crate::{faultcfg, pool, record, scenarios};
+use crate::runner::RunConfig;
+use crate::{pool, scenarios};
 
 /// Configuration of an engine run.
 #[derive(Clone, Debug)]
@@ -54,11 +55,6 @@ pub struct EngineConfig {
     /// benchmarking the step path and for equivalence audits
     /// (`--no-fastforward`).
     pub fastforward: bool,
-    /// Whether sweeps run by scenarios may share warm prefixes via
-    /// snapshot forking (see [`crate::forkcfg`]). Defaults to `true`; the
-    /// contract makes sweep results bit-identical either way, so `false`
-    /// exists for equivalence audits (`--no-fork`).
-    pub fork: bool,
 }
 
 impl Default for EngineConfig {
@@ -70,7 +66,6 @@ impl Default for EngineConfig {
             faults: None,
             timeout: None,
             fastforward: true,
-            fork: true,
         }
     }
 }
@@ -194,30 +189,21 @@ pub fn run_scenarios(
     out
 }
 
-/// Disables thread-local recording when dropped — including during a panic
-/// unwind, so a crashed scenario cannot leak recording state into the next
-/// job scheduled on the same worker thread.
-struct RecordingGuard;
-
-impl Drop for RecordingGuard {
-    fn drop(&mut self) {
-        record::disable();
-    }
-}
-
-/// Runs a single scenario with scoped recording, fault configuration and
-/// artifact writing; the unit of work the pool schedules.
+/// Runs a single scenario under its own [`RunConfig`] (recording scoped
+/// to the scenario id) and writes its artifacts; the unit of work the pool
+/// schedules.
 fn run_one(id: &str, cfg: &EngineConfig) -> ScenarioRun {
-    let _faults = faultcfg::override_plan(cfg.faults.clone());
-    let _ff = latlab_os::fastforward::override_default(cfg.fastforward);
-    let _fork = crate::forkcfg::override_default(cfg.fork);
-    let _recording = RecordingGuard;
-    if let Some(dir) = &cfg.record_dir {
-        record::enable_scoped(dir, id)
-            .unwrap_or_else(|e| panic!("cannot create record directory {}: {e}", dir.display()));
-    }
+    let recorder = cfg.record_dir.as_ref().map(|dir| {
+        Recorder::new(dir, id)
+            .unwrap_or_else(|e| panic!("cannot create record directory {}: {e}", dir.display()))
+    });
+    let run_cfg = RunConfig {
+        fastforward: cfg.fastforward,
+        faults: cfg.faults.clone(),
+        recorder,
+    };
     let t0 = std::time::Instant::now();
-    let reports = scenarios::run_by_id(id);
+    let reports = scenarios::run(id, &run_cfg);
     let wall = t0.elapsed();
     let mut artifact_errors = Vec::new();
     if let Some(out_dir) = &cfg.out_dir {

@@ -6,9 +6,9 @@
 //! soundness invariant in `latlab_os::sweep`), so forking defaults **on**.
 //! The `--no-fork` escape hatch keeps the scratch-per-point path alive as
 //! the oracle: CI runs a small sweep both ways and diffs stdout and CSV
-//! byte for byte. Thread-locality mirrors [`crate::faultcfg`] and
-//! `latlab_os::fastforward`: no cross-test races, and a crashed job can
-//! never leak its setting into the next one on the same worker.
+//! byte for byte. Being thread-local, the setting has no cross-test
+//! races, and a crashed job can never leak it into the next one on the
+//! same worker.
 
 use std::cell::Cell;
 

@@ -8,7 +8,6 @@
 //! `ablations`).
 
 pub mod engine;
-pub mod faultcfg;
 pub mod forkcfg;
 pub mod pool;
 pub mod record;
@@ -20,3 +19,4 @@ pub mod sweep;
 pub use engine::{run_scenarios, EngineConfig, ScenarioOutcome, ScenarioRun};
 pub use pool::JobOutcome;
 pub use report::{Check, ExperimentReport};
+pub use runner::RunConfig;

@@ -41,8 +41,8 @@ pub fn resolve_jobs(requested: usize) -> usize {
 /// threads, delivering each result to `consume` **in job-index order** on
 /// the calling thread.
 ///
-/// `run` must be a pure function of its index (plus thread-local state it
-/// sets up itself): jobs may execute on any worker in any order.
+/// `run` must be a pure function of its index: jobs may execute on any
+/// worker in any order.
 ///
 /// # Panics
 ///

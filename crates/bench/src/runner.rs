@@ -1,15 +1,70 @@
-//! Shared experiment plumbing: standard session runs of each workload.
+//! Shared experiment plumbing: the run configuration and standard session
+//! runs of each workload.
 
 use latlab_apps::{
     Desktop, DesktopConfig, Notepad, NotepadConfig, PowerPoint, PowerPointConfig, Word, WordConfig,
 };
 use latlab_core::{BoundaryPolicy, Measurement, MeasurementSession};
-use latlab_des::{CpuFreq, SimTime};
+use latlab_des::{CpuFreq, SimDuration, SimTime};
+use latlab_faults::FaultPlan;
 use latlab_input::{InputScript, TestDriver};
-use latlab_os::{Machine, OsProfile, ProcessSpec};
+use latlab_os::{Machine, OsParams, OsProfile, ProcessSpec};
+
+use crate::record::{script_fingerprint, Recorder};
 
 /// The common 100 MHz time base.
 pub const FREQ: CpuFreq = CpuFreq::PENTIUM_100;
+
+/// How a scenario's machines run: passed by argument from the engine
+/// through every scenario to each machine it boots, so a run is fully set
+/// by its inputs and nothing leaks between scenarios sharing a worker.
+#[derive(Clone, Debug)]
+pub struct RunConfig {
+    /// Whether machines batch idle-loop spans (the kernel's idle
+    /// fast-forward). Every observable is byte-identical either way;
+    /// `false` keeps the step path alive as the oracle
+    /// (`repro --no-fastforward`). Reaches every machine, calibration
+    /// scratch machines included.
+    pub fastforward: bool,
+    /// Fault plan installed into every [`run_session`] machine; `None`
+    /// runs fault-free. Plans carry their own seed, so injected faults are
+    /// independent of worker scheduling.
+    pub faults: Option<FaultPlan>,
+    /// Streams every [`run_session`]'s stamps and API log to disk
+    /// (`repro --record`); `None` records nothing.
+    pub recorder: Option<Recorder>,
+}
+
+impl Default for RunConfig {
+    fn default() -> Self {
+        RunConfig {
+            fastforward: true,
+            faults: None,
+            recorder: None,
+        }
+    }
+}
+
+impl RunConfig {
+    /// Boots a machine on `params` with this config's fast-forward setting.
+    pub fn machine(&self, params: OsParams) -> Machine {
+        let mut machine = Machine::new(params);
+        machine.set_fast_forward(self.fastforward);
+        machine
+    }
+
+    /// Boots a measurement session on `profile` with this config's
+    /// fast-forward setting.
+    pub fn session(&self, profile: OsProfile) -> MeasurementSession {
+        MeasurementSession::with_params(profile.params(), self.fastforward)
+    }
+
+    /// Calibrates the idle loop's N (§2.3) with this config's fast-forward
+    /// setting.
+    pub fn calibrate_n(&self, params: &OsParams, target: SimDuration) -> u64 {
+        latlab_core::calibrate_n(params, target, self.fastforward)
+    }
+}
 
 /// Which application a standard run drives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -70,6 +125,7 @@ pub struct RunOutput {
 /// Runs `script` against `app` on `profile` with the given driver and
 /// extraction policy, allowing `settle_secs` of quiet time at the end.
 pub fn run_session(
+    cfg: &RunConfig,
     profile: OsProfile,
     app: App,
     driver: TestDriver,
@@ -77,37 +133,35 @@ pub fn run_session(
     policy: BoundaryPolicy,
     settle_secs: u64,
 ) -> RunOutput {
-    let mut session = MeasurementSession::new(profile);
+    let mut session = cfg.session(profile);
     app.spawn(&mut session);
-    // When `repro --faults` is active, arm the thread-scoped fault plan in
-    // this machine before any input is scheduled (see crate::faultcfg).
-    if let Some(plan) = crate::faultcfg::current_plan() {
-        session.machine().install_faults(&plan);
+    // Arm the fault plan before any input is scheduled.
+    if let Some(plan) = &cfg.faults {
+        session.machine().install_faults(plan);
     }
-    // When `repro --record` is active, stream this run's stamps and API
-    // log to disk while it executes (bounded memory; see crate::record).
-    let label = format!("{profile:?}-{app:?}").to_lowercase();
-    let seed = crate::record::script_fingerprint(&script.to_json());
-    let recording = crate::record::open_run_sinks(&label, session.baseline(), FREQ, seed);
-    let recording = if let Some((stamps, api)) = recording {
+    // The trace header's seed. Computed even without a recorder: skipping
+    // this one transient allocation (the script's JSON) raised the peak
+    // RSS of repeated 17-scenario passes from 23 to 29.6 MB under glibc
+    // malloc.
+    let seed = script_fingerprint(&script.to_json());
+    // Stream this run's stamps and API log to disk while it executes
+    // (bounded memory; see crate::record).
+    if let Some(recorder) = &cfg.recorder {
+        let label = format!("{profile:?}-{app:?}").to_lowercase();
+        let (stamps, api) = recorder.open_run_sinks(&label, session.baseline(), FREQ, seed);
         session.machine().set_stamp_sink(stamps);
         session.machine().set_api_sink(api);
-        true
-    } else {
-        false
-    };
+    }
     let start = SimTime::ZERO + FREQ.ms(100);
     let input_ids = driver.schedule(session.machine(), start, script);
     let horizon = start + script.duration() + FREQ.secs(settle_secs);
     session.run_until_quiescent(horizon + FREQ.secs(settle_secs));
     let (measurement, mut machine) = session.finish_with_machine(policy);
-    if recording {
-        if let Some(mut sink) = machine.take_stamp_sink() {
-            sink.finish().expect("failed to finalize stamp trace");
-        }
-        if let Some(mut sink) = machine.take_api_sink() {
-            sink.finish().expect("failed to finalize apilog trace");
-        }
+    if let Some(mut sink) = machine.take_stamp_sink() {
+        sink.finish().expect("failed to finalize stamp trace");
+    }
+    if let Some(mut sink) = machine.take_api_sink() {
+        sink.finish().expect("failed to finalize apilog trace");
     }
     RunOutput {
         measurement,
@@ -135,17 +189,11 @@ pub fn event_points(m: &Measurement, drop_queuesync: bool) -> Vec<(f64, f64)> {
         .collect()
 }
 
-/// Builds a machine with PowerPoint warmed through startup + document open,
-/// positioned at `page` (for the Figure 9/10 counter microbenchmarks).
-/// Returns the machine ready for the operation of interest.
-pub fn warm_powerpoint(profile: OsProfile, page: u32) -> Machine {
-    warm_powerpoint_params(profile.params(), page)
-}
-
-/// Param-keyed variant of [`warm_powerpoint`], shared with the sweep
-/// engine (whose points run under modified parameter sets).
-pub fn warm_powerpoint_params(params: latlab_os::OsParams, page: u32) -> Machine {
-    let mut machine = Machine::new(params);
+/// Warms PowerPoint on a freshly booted `machine` through startup +
+/// document open, positioned at `page` (for the Figure 9/10 counter
+/// microbenchmarks and the sweep engine). Returns the machine ready for
+/// the operation of interest.
+pub fn warm_powerpoint(mut machine: Machine, page: u32) -> Machine {
     latlab_apps::powerpoint::register_files(&mut machine);
     let tid = machine.spawn(
         ProcessSpec::app("powerpoint"),
@@ -186,6 +234,7 @@ mod tests {
     #[test]
     fn desktop_micro_run() {
         let out = run_session(
+            &RunConfig::default(),
             OsProfile::Nt40,
             App::Desktop,
             TestDriver::clean(),
@@ -201,7 +250,7 @@ mod tests {
 
     #[test]
     fn warm_powerpoint_reaches_page() {
-        let m = warm_powerpoint(OsProfile::Nt40, 4);
+        let m = warm_powerpoint(Machine::new(OsProfile::Nt40.params()), 4);
         assert!(m.is_quiescent());
         // Cache should be well populated from startup + open.
         let (hits, misses) = m.cache_stats();

@@ -19,10 +19,10 @@ use latlab_input::{workloads, InputScript, TestDriver};
 use latlab_os::{KeySym, OsParams, OsProfile, ProcessSpec, Win32Arch};
 
 use crate::report::ExperimentReport;
-use crate::runner::{deliver_key_and_settle, latencies_ms, run_session, App, FREQ};
+use crate::runner::{deliver_key_and_settle, latencies_ms, run_session, App, RunConfig, FREQ};
 
 /// Idle-loop granularity sweep: measures one known event with different N.
-pub fn idle_loop_granularity() -> ExperimentReport {
+pub fn idle_loop_granularity(cfg: &RunConfig) -> ExperimentReport {
     let mut report = ExperimentReport::new(
         "abl-n",
         "Ablation: idle-loop granularity N (resolution vs. buffer size, §2.3)",
@@ -32,8 +32,8 @@ pub fn idle_loop_granularity() -> ExperimentReport {
     let mut rows = Vec::new();
     for target_ms in [0.25, 1.0, 4.0, 16.0] {
         let target = params.freq.ms_f64(target_ms);
-        let n = latlab_core::calibrate_n(&params, target);
-        let mut machine = latlab_os::Machine::new(params.clone());
+        let n = cfg.calibrate_n(&params, target);
+        let mut machine = cfg.machine(params.clone());
         let handle = latlab_core::install(&mut machine, latlab_core::IdleLoopConfig::with_n(n));
         let tid = machine.spawn(
             ProcessSpec::app("notepad"),
@@ -94,7 +94,7 @@ pub fn idle_loop_granularity() -> ExperimentReport {
 }
 
 /// The infinitely-fast-user batching ablation.
-pub fn batching() -> ExperimentReport {
+pub fn batching(cfg: &RunConfig) -> ExperimentReport {
     let mut report = ExperimentReport::new(
         "abl-batch",
         "Ablation: throughput-mode input and request batching (§1.1)",
@@ -107,6 +107,7 @@ pub fn batching() -> ExperimentReport {
     for (label, pace_ms) in [("paced 120 ms", 120u64), ("burst 1 ms", 1u64)] {
         let script = InputScript::new().text(FREQ.ms(pace_ms), &text);
         let out = run_session(
+            cfg,
             OsProfile::Nt40,
             App::Notepad,
             TestDriver::clean(),
@@ -168,13 +169,13 @@ pub fn batching() -> ExperimentReport {
 }
 
 /// NT 3.51 with hypothetical ASIDs: disable the crossing TLB flush.
-pub fn asid() -> ExperimentReport {
+pub fn asid(cfg: &RunConfig) -> ExperimentReport {
     let mut report = ExperimentReport::new(
         "abl-asid",
         "Ablation: NT 3.51 without crossing TLB flushes (hypothetical ASIDs, §5.3)",
     );
     let pagedown_cycles = |params: OsParams| -> f64 {
-        let mut machine = latlab_os::Machine::new(params);
+        let mut machine = cfg.machine(params);
         latlab_apps::powerpoint::register_files(&mut machine);
         let tid = machine.spawn(
             ProcessSpec::app("powerpoint"),
@@ -239,7 +240,7 @@ pub fn asid() -> ExperimentReport {
 }
 
 /// Responsiveness-scalar sensitivity: the §3.1 abandoned metric.
-pub fn responsiveness_sensitivity() -> ExperimentReport {
+pub fn responsiveness_sensitivity(cfg: &RunConfig) -> ExperimentReport {
     let mut report = ExperimentReport::new(
         "abl-score",
         "Ablation: sensitivity of a single responsiveness scalar (§3.1)",
@@ -248,6 +249,7 @@ pub fn responsiveness_sensitivity() -> ExperimentReport {
     let mut sessions = Vec::new();
     for profile in [OsProfile::Nt351, OsProfile::Nt40] {
         let out = run_session(
+            cfg,
             profile,
             App::Notepad,
             TestDriver::ms_test(),
@@ -296,7 +298,7 @@ pub fn responsiveness_sensitivity() -> ExperimentReport {
 }
 
 /// The §2.3 display-refresh effect the paper set aside.
-pub fn display_refresh() -> ExperimentReport {
+pub fn display_refresh(cfg: &RunConfig) -> ExperimentReport {
     let mut report = ExperimentReport::new(
         "abl-refresh",
         "Extension: display-refresh visibility delay the paper did not consider (§2.3)",
@@ -305,6 +307,7 @@ pub fn display_refresh() -> ExperimentReport {
     // For each Notepad keystroke, user-visible latency adds the wait until
     // the next refresh after handling completes.
     let out = run_session(
+        cfg,
         OsProfile::Nt40,
         App::Notepad,
         TestDriver::clean(),
@@ -345,16 +348,16 @@ pub fn display_refresh() -> ExperimentReport {
 /// Asynchronous I/O stays background: Word's autosave must not perturb
 /// measured keystroke latency or classified wait time (§2.3's assumption,
 /// exercised with the §6 async-I/O support).
-pub fn async_background() -> ExperimentReport {
+pub fn async_background(cfg: &RunConfig) -> ExperimentReport {
     use latlab_apps::{Word, WordConfig};
-    use latlab_core::{measured_wait, FsmMode, MeasurementSession};
+    use latlab_core::{measured_wait, FsmMode};
     let mut report = ExperimentReport::new(
         "abl-async",
         "Extension: asynchronous autosave is background activity (§2.3/§6)",
     );
     let text = workloads::sample_document(250, 10_000);
     let run = |autosave: Option<u32>| {
-        let mut session = MeasurementSession::new(OsProfile::Nt40);
+        let mut session = cfg.session(OsProfile::Nt40);
         latlab_apps::word::register_files(session.machine());
         let tid = session.launch_app(
             ProcessSpec::app("word").with_heavy_async(),
@@ -431,7 +434,7 @@ pub fn async_background() -> ExperimentReport {
 
 /// Per-event-class perception thresholds: the §3.1 metric completed, and
 /// why a single-threshold scalar misjudges task workloads.
-pub fn perception_model() -> ExperimentReport {
+pub fn perception_model(cfg: &RunConfig) -> ExperimentReport {
     use latlab_analysis::{EventClass, PerceptionModel};
     let mut report = ExperimentReport::new(
         "abl-perception",
@@ -440,6 +443,7 @@ pub fn perception_model() -> ExperimentReport {
     // The PowerPoint task: dominated by major operations users expect to
     // take seconds.
     let out = run_session(
+        cfg,
         OsProfile::Nt40,
         App::PowerPoint,
         TestDriver::ms_test(),
@@ -510,18 +514,18 @@ fn class_name(class: latlab_analysis::EventClass) -> &'static str {
 /// Monitor intrusiveness: the idle loop must sit *below* every real
 /// priority. Run it at normal priority instead and it competes with the
 /// application — the probe perturbs the measurement.
-pub fn monitor_intrusiveness() -> ExperimentReport {
+pub fn monitor_intrusiveness(cfg: &RunConfig) -> ExperimentReport {
     use latlab_core::idle_loop::IdleLoopProgram;
-    use latlab_core::{calibrate_n, IdleLoopConfig};
-    use latlab_os::{Machine, Priority};
+    use latlab_core::IdleLoopConfig;
+    use latlab_os::Priority;
     let mut report = ExperimentReport::new(
         "abl-monitor",
         "Hazard: an idle-loop monitor above idle priority perturbs the system (§2.3)",
     );
     let params = OsProfile::Nt40.params();
-    let n = calibrate_n(&params, params.freq.ms(1));
+    let n = cfg.calibrate_n(&params, params.freq.ms(1));
     let run = |priority: Priority| -> f64 {
-        let mut machine = Machine::new(params.clone());
+        let mut machine = cfg.machine(params.clone());
         machine.spawn(
             ProcessSpec::app("idle-loop-monitor").with_priority(priority),
             Box::new(IdleLoopProgram::new(IdleLoopConfig::with_n(n))),
@@ -568,15 +572,15 @@ pub fn monitor_intrusiveness() -> ExperimentReport {
 }
 
 /// Runs every ablation.
-pub fn run_all() -> Vec<ExperimentReport> {
+pub fn run_all(cfg: &RunConfig) -> Vec<ExperimentReport> {
     vec![
-        idle_loop_granularity(),
-        batching(),
-        asid(),
-        responsiveness_sensitivity(),
-        display_refresh(),
-        async_background(),
-        perception_model(),
-        monitor_intrusiveness(),
+        idle_loop_granularity(cfg),
+        batching(cfg),
+        asid(cfg),
+        responsiveness_sensitivity(cfg),
+        display_refresh(cfg),
+        async_background(cfg),
+        perception_model(cfg),
+        monitor_intrusiveness(cfg),
     ]
 }

@@ -32,9 +32,8 @@ use latlab_faults::{FaultKind, FaultPlan, FaultStats};
 use latlab_input::{workloads, InputScript, TestDriver};
 use latlab_os::{KeySym, OsProfile};
 
-use crate::faultcfg;
 use crate::report::ExperimentReport;
-use crate::runner::{run_session, App, FREQ};
+use crate::runner::{run_session, App, RunConfig, FREQ};
 
 /// Fixed seed shared by every row of the matrix.
 const MATRIX_SEED: u64 = 0xfa11_7001;
@@ -114,10 +113,16 @@ fn disk_workload() -> InputScript {
         .key(FREQ.secs(2), KeySym::PageDown)
 }
 
-fn run_row(row: &Row) -> (AttributionReport, Option<FaultStats>) {
-    let _guard = faultcfg::override_plan(row.plan.clone());
+fn run_row(cfg: &RunConfig, row: &Row) -> (AttributionReport, Option<FaultStats>) {
+    // Each row runs under its own plan; the recorder (and its per-scope
+    // run counter) is shared with the scenario's config.
+    let cfg = &RunConfig {
+        faults: row.plan.clone(),
+        ..cfg.clone()
+    };
     let out = if row.disk {
         run_session(
+            cfg,
             OsProfile::Nt40,
             App::PowerPoint,
             TestDriver::clean(),
@@ -127,6 +132,7 @@ fn run_row(row: &Row) -> (AttributionReport, Option<FaultStats>) {
         )
     } else {
         run_session(
+            cfg,
             OsProfile::Nt40,
             App::Notepad,
             TestDriver::clean(),
@@ -140,7 +146,7 @@ fn run_row(row: &Row) -> (AttributionReport, Option<FaultStats>) {
 }
 
 /// Runs the full matrix.
-pub fn run() -> ExperimentReport {
+pub fn run(cfg: &RunConfig) -> ExperimentReport {
     let mut report = ExperimentReport::new(
         "faults",
         "Fault matrix: attribution error under injected faults",
@@ -148,7 +154,7 @@ pub fn run() -> ExperimentReport {
     report.line("  class      compared  skipped   mean|err|   max|err|  metric   injections");
     let mut csv_rows: Vec<Vec<f64>> = Vec::new();
     for row in rows() {
-        let (attr, stats) = run_row(&row);
+        let (attr, stats) = run_row(cfg, &row);
         let (mean_err, max_err, metric) = if row.disk {
             (attr.mean_abs_span_err_ms, attr.max_abs_span_err_ms, "span")
         } else {

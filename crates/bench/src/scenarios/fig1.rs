@@ -8,13 +8,13 @@
 //! rescheduling the application never sees.
 
 use latlab_apps::{EchoApp, EchoConfig};
-use latlab_core::{BoundaryPolicy, MeasurementSession, TimestampPairs};
+use latlab_core::{BoundaryPolicy, TimestampPairs};
 use latlab_des::SimTime;
 use latlab_input::{workloads, TestDriver};
 use latlab_os::{OsProfile, ProcessSpec};
 
 use crate::report::ExperimentReport;
-use crate::runner::FREQ;
+use crate::runner::{RunConfig, FREQ};
 
 /// Result data for Figure 1.
 #[derive(Clone, Copy, Debug)]
@@ -28,9 +28,9 @@ pub struct Fig1Data {
 }
 
 /// Runs the validation experiment on NT 4.0.
-pub fn run() -> (ExperimentReport, Fig1Data) {
+pub fn run(cfg: &RunConfig) -> (ExperimentReport, Fig1Data) {
     let mut report = ExperimentReport::new("fig1", "Validation of idle-loop methodology (§2.3)");
-    let mut session = MeasurementSession::new(OsProfile::Nt40);
+    let mut session = cfg.session(OsProfile::Nt40);
     let app = session.launch_app(
         ProcessSpec::app("echo").with_console(),
         Box::new(EchoApp::new(EchoConfig::default())),

@@ -13,12 +13,12 @@ use latlab_hw::HwEvent;
 use latlab_os::{KeySym, OsProfile};
 
 use crate::report::ExperimentReport;
-use crate::runner::{deliver_key_and_settle, warm_powerpoint, FREQ};
+use crate::runner::{deliver_key_and_settle, warm_powerpoint, RunConfig, FREQ};
 use crate::scenarios::fig9::FIG9_EVENTS;
 
 /// Measures the hot-cache OLE edit start on one OS (first run after the
 /// cache is warmed by a prior session).
-pub fn measure(profile: OsProfile) -> HwProfile {
+pub fn measure(cfg: &RunConfig, profile: OsProfile) -> HwProfile {
     latlab_core::sweep(
         &FIG9_EVENTS,
         1,
@@ -26,7 +26,7 @@ pub fn measure(profile: OsProfile) -> HwProfile {
             // Warm: open the first OLE session once and close it, then
             // pin the editor image and document in the buffer cache — the
             // paper engineered "a hot buffer cache" for this experiment.
-            let mut m = warm_powerpoint(profile, 5);
+            let mut m = warm_powerpoint(cfg.machine(profile.params()), 5);
             deliver_key_and_settle(&mut m, latlab_apps::OLE_EDIT_KEY);
             deliver_key_and_settle(&mut m, KeySym::Escape);
             for name in [
@@ -44,8 +44,8 @@ pub fn measure(profile: OsProfile) -> HwProfile {
 
 /// Demonstrates the §5.3 creep: successive OLE sessions on one machine
 /// cost steadily more CPU. Returns per-session cycle counts.
-pub fn measure_creep(profile: OsProfile, sessions: u32) -> Vec<f64> {
-    let mut m = warm_powerpoint(profile, 5);
+pub fn measure_creep(cfg: &RunConfig, profile: OsProfile, sessions: u32) -> Vec<f64> {
+    let mut m = warm_powerpoint(cfg.machine(profile.params()), 5);
     // Burn through the three scripted warm-up sessions; the creep shows on
     // the repeated measurements beyond them.
     for _ in 0..3 {
@@ -76,14 +76,14 @@ pub fn measure_creep(profile: OsProfile, sessions: u32) -> Vec<f64> {
 }
 
 /// Runs Figure 10 on all three systems.
-pub fn run() -> (ExperimentReport, Vec<(OsProfile, HwProfile)>) {
+pub fn run(cfg: &RunConfig) -> (ExperimentReport, Vec<(OsProfile, HwProfile)>) {
     let mut report = ExperimentReport::new(
         "fig10",
         "Counter measurements for the OLE edit start-up, hot cache (§5.3, Figure 10)",
     );
     let profiles: Vec<(OsProfile, HwProfile)> = OsProfile::ALL
         .into_iter()
-        .map(|p| (p, measure(p)))
+        .map(|p| (p, measure(cfg, p)))
         .collect();
 
     report.line(format!(
@@ -136,7 +136,7 @@ pub fn run() -> (ExperimentReport, Vec<(OsProfile, HwProfile)>) {
     );
 
     // The creep phenomenon.
-    let creep = measure_creep(OsProfile::Nt40, 4);
+    let creep = measure_creep(cfg, OsProfile::Nt40, 4);
     report.line(format!(
         "  §5.3 creep (NT 4.0, successive OLE opens, cycles): {:?}",
         creep.iter().map(|c| *c as u64).collect::<Vec<_>>()

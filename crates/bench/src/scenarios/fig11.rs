@@ -14,7 +14,7 @@ use latlab_input::{workloads, TestDriver};
 use latlab_os::OsProfile;
 
 use crate::report::ExperimentReport;
-use crate::runner::{latencies_ms, run_session, App};
+use crate::runner::{latencies_ms, run_session, App, RunConfig};
 
 /// Per-OS Word results.
 #[derive(Clone, Debug)]
@@ -30,8 +30,9 @@ pub struct WordRow {
 }
 
 /// Runs the Word task on one OS.
-pub fn run_one(profile: OsProfile) -> WordRow {
+pub fn run_one(cfg: &RunConfig, profile: OsProfile) -> WordRow {
     let out = run_session(
+        cfg,
         profile,
         App::Word,
         TestDriver::ms_test(),
@@ -52,11 +53,11 @@ pub fn run_one(profile: OsProfile) -> WordRow {
 }
 
 /// Runs Figure 11.
-pub fn run() -> (ExperimentReport, Vec<WordRow>) {
+pub fn run(cfg: &RunConfig) -> (ExperimentReport, Vec<WordRow>) {
     let mut report = ExperimentReport::new("fig11", "Microsoft Word event latency summary (§5.4)");
     let rows: Vec<WordRow> = [OsProfile::Nt351, OsProfile::Nt40]
         .into_iter()
-        .map(run_one)
+        .map(|p| run_one(cfg, p))
         .collect();
     for r in &rows {
         report.line(format!(
@@ -131,7 +132,7 @@ pub fn run() -> (ExperimentReport, Vec<WordRow>) {
     );
 
     // Win95 exclusion justification.
-    let win95 = run_one(OsProfile::Win95);
+    let win95 = run_one(cfg, OsProfile::Win95);
     report.line(format!(
         "  Windows 95 (excluded): median event latency {:.0} ms — all events appear seconds long",
         win95.summary.median_ms

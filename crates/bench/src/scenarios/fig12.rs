@@ -11,10 +11,10 @@ use latlab_input::{workloads, TestDriver};
 use latlab_os::OsProfile;
 
 use crate::report::ExperimentReport;
-use crate::runner::{run_session, App, FREQ};
+use crate::runner::{run_session, App, RunConfig, FREQ};
 
 /// Runs Figure 12.
-pub fn run() -> ExperimentReport {
+pub fn run(cfg: &RunConfig) -> ExperimentReport {
     let mut report = ExperimentReport::new(
         "fig12",
         "Time series of long-latency (>50 ms) PowerPoint events (§6, Figure 12)",
@@ -22,6 +22,7 @@ pub fn run() -> ExperimentReport {
     let mut series = Vec::new();
     for profile in [OsProfile::Nt351, OsProfile::Nt40] {
         let out = run_session(
+            cfg,
             profile,
             App::PowerPoint,
             TestDriver::ms_test(),

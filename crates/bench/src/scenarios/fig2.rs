@@ -9,20 +9,20 @@
 //! synchronous-I/O is wait time only the full FSM can see (§2.3).
 
 use latlab_apps::{PowerPoint, PowerPointConfig};
-use latlab_core::{classify_measured, total_wait, BoundaryPolicy, FsmMode, MeasurementSession};
+use latlab_core::{classify_measured, total_wait, BoundaryPolicy, FsmMode};
 use latlab_des::SimTime;
 use latlab_os::{InputKind, KeySym, OsProfile, ProcessSpec};
 
 use crate::report::ExperimentReport;
-use crate::runner::FREQ;
+use crate::runner::{RunConfig, FREQ};
 
 /// Runs the FSM comparison on measured observables only.
-pub fn run() -> ExperimentReport {
+pub fn run(cfg: &RunConfig) -> ExperimentReport {
     let mut report = ExperimentReport::new(
         "fig2",
         "Think/wait state machine on measured observables (§2.3, Figure 2)",
     );
-    let mut session = MeasurementSession::new(OsProfile::Nt40);
+    let mut session = cfg.session(OsProfile::Nt40);
     latlab_apps::powerpoint::register_files(session.machine());
     let tid = session.launch_app(
         ProcessSpec::app("powerpoint"),

@@ -8,10 +8,10 @@
 use latlab_core::{collect, install, IdleLoopConfig};
 use latlab_des::SimTime;
 use latlab_hw::{CounterId, HwEvent};
-use latlab_os::{Machine, OsProfile};
+use latlab_os::OsProfile;
 
 use crate::report::ExperimentReport;
-use crate::runner::FREQ;
+use crate::runner::{RunConfig, FREQ};
 
 /// Per-OS idle profile numbers.
 #[derive(Clone, Copy, Debug)]
@@ -30,15 +30,15 @@ pub struct IdleProfileRow {
 }
 
 /// Runs the idle profiles.
-pub fn run() -> (ExperimentReport, Vec<IdleProfileRow>) {
+pub fn run(cfg: &RunConfig) -> (ExperimentReport, Vec<IdleProfileRow>) {
     let mut report =
         ExperimentReport::new("fig3", "Idle system profiles for the three OSes (§2.5)");
     let window_secs = 2u64;
     let mut rows = Vec::new();
     for profile in OsProfile::ALL {
         let params = profile.params();
-        let n = latlab_core::calibrate_n(&params, params.freq.ms(1));
-        let mut machine = Machine::new(params.clone());
+        let n = cfg.calibrate_n(&params, params.freq.ms(1));
+        let mut machine = cfg.machine(params.clone());
         machine
             .configure_counter(CounterId::Ctr0, HwEvent::HardwareInterrupts)
             .expect("counter configuration");

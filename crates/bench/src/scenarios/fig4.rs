@@ -5,21 +5,21 @@
 //! that grow as the outline grows, then a continuous redraw. Rendered at
 //! both 1 ms (Figure 4a) and 10 ms-averaged (Figure 4b) resolution.
 
-use latlab_core::{BoundaryPolicy, MeasurementSession};
+use latlab_core::BoundaryPolicy;
 use latlab_des::SimTime;
 use latlab_input::{workloads, TestDriver};
 use latlab_os::{OsProfile, ProcessSpec};
 
 use crate::report::ExperimentReport;
-use crate::runner::FREQ;
+use crate::runner::{RunConfig, FREQ};
 
 /// Runs the maximize profile on NT 4.0.
-pub fn run() -> ExperimentReport {
+pub fn run(cfg: &RunConfig) -> ExperimentReport {
     let mut report = ExperimentReport::new(
         "fig4",
         "Window-maximize CPU usage profile under NT 4.0 (§2.6)",
     );
-    let mut session = MeasurementSession::new(OsProfile::Nt40);
+    let mut session = cfg.session(OsProfile::Nt40);
     session.launch_app(
         ProcessSpec::app("desktop"),
         Box::new(latlab_apps::Desktop::new(

@@ -10,13 +10,14 @@ use latlab_input::{workloads, TestDriver};
 use latlab_os::OsProfile;
 
 use crate::report::ExperimentReport;
-use crate::runner::{event_points, run_session, App, FREQ};
+use crate::runner::{event_points, run_session, App, RunConfig, FREQ};
 
 /// Runs the raw-profile experiment.
-pub fn run() -> ExperimentReport {
+pub fn run(cfg: &RunConfig) -> ExperimentReport {
     let mut report =
         ExperimentReport::new("fig5", "Raw event-latency profile: Word on NT 3.51 (§3.2)");
     let out = run_session(
+        cfg,
         OsProfile::Nt351,
         App::Word,
         TestDriver::ms_test(),

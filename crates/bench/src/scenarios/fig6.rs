@@ -11,7 +11,7 @@ use latlab_input::{workloads, TestDriver};
 use latlab_os::OsProfile;
 
 use crate::report::ExperimentReport;
-use crate::runner::{run_session, App, FREQ};
+use crate::runner::{run_session, App, RunConfig, FREQ};
 
 /// Per-OS simple-event numbers (milliseconds).
 #[derive(Clone, Copy, Debug)]
@@ -27,7 +27,7 @@ pub struct SimpleEventRow {
 }
 
 /// Runs the microbenchmarks on all three systems.
-pub fn run() -> (ExperimentReport, Vec<SimpleEventRow>) {
+pub fn run(cfg: &RunConfig) -> (ExperimentReport, Vec<SimpleEventRow>) {
     let mut report = ExperimentReport::new(
         "fig6",
         "Latency of simple interactive events (§4, Figure 6)",
@@ -38,6 +38,7 @@ pub fn run() -> (ExperimentReport, Vec<SimpleEventRow>) {
         // Keystrokes: manual input (the paper could not use Test here), so
         // no WM_QUEUESYNC artifact.
         let keys = run_session(
+            cfg,
             profile,
             App::Desktop,
             TestDriver::clean(),
@@ -60,6 +61,7 @@ pub fn run() -> (ExperimentReport, Vec<SimpleEventRow>) {
         // Clicks: measure from ground truth event spans (down → handled),
         // which on Windows 95 includes the busy-wait across the press.
         let clicks = run_session(
+            cfg,
             profile,
             App::Desktop,
             TestDriver::clean(),

@@ -17,7 +17,7 @@ use latlab_input::{workloads, TestDriver};
 use latlab_os::OsProfile;
 
 use crate::report::ExperimentReport;
-use crate::runner::{latencies_ms, run_session, App, FREQ};
+use crate::runner::{latencies_ms, run_session, App, RunConfig, FREQ};
 
 /// Per-OS Notepad results.
 #[derive(Clone, Debug)]
@@ -35,12 +35,13 @@ pub struct NotepadRow {
 }
 
 /// Runs the Notepad benchmark on all three systems.
-pub fn run() -> (ExperimentReport, Vec<NotepadRow>) {
+pub fn run(cfg: &RunConfig) -> (ExperimentReport, Vec<NotepadRow>) {
     let mut report = ExperimentReport::new("fig7", "Notepad event latency summary (§5.1)");
     let script = workloads::notepad_session();
     let mut rows = Vec::new();
     for profile in OsProfile::ALL {
         let out = run_session(
+            cfg,
             profile,
             App::Notepad,
             TestDriver::ms_test(),

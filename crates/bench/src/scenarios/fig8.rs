@@ -11,7 +11,7 @@ use latlab_input::{workloads, TestDriver};
 use latlab_os::{KeySym, OsProfile};
 
 use crate::report::ExperimentReport;
-use crate::runner::{run_session, App, FREQ};
+use crate::runner::{run_session, App, RunConfig, FREQ};
 
 /// Table 1's operations.
 pub const TABLE1_OPS: [&str; 6] = [
@@ -47,9 +47,10 @@ pub struct PowerPointRun {
 }
 
 /// Runs the task on one OS and extracts the Table 1 operations.
-pub fn run_one(profile: OsProfile) -> PowerPointRun {
+pub fn run_one(cfg: &RunConfig, profile: OsProfile) -> PowerPointRun {
     let script = workloads::powerpoint_task();
     let out = run_session(
+        cfg,
         profile,
         App::PowerPoint,
         TestDriver::ms_test(),
@@ -108,14 +109,14 @@ pub fn run_one(profile: OsProfile) -> PowerPointRun {
 }
 
 /// Runs Figure 8 / Table 1 on both NT systems.
-pub fn run() -> (ExperimentReport, Vec<PowerPointRun>) {
+pub fn run(cfg: &RunConfig) -> (ExperimentReport, Vec<PowerPointRun>) {
     let mut report = ExperimentReport::new(
         "fig8",
         "PowerPoint task: event latency summary and Table 1 (§5.2)",
     );
     let runs: Vec<PowerPointRun> = [OsProfile::Nt351, OsProfile::Nt40]
         .into_iter()
-        .map(run_one)
+        .map(|p| run_one(cfg, p))
         .collect();
     let nt351 = &runs[0];
     let nt40 = &runs[1];

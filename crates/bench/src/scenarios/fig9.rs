@@ -16,7 +16,7 @@ use latlab_hw::HwEvent;
 use latlab_os::{KeySym, OsProfile};
 
 use crate::report::ExperimentReport;
-use crate::runner::{deliver_key_and_settle, warm_powerpoint};
+use crate::runner::{deliver_key_and_settle, warm_powerpoint, RunConfig};
 
 /// The event kinds Figure 9 reports.
 pub const FIG9_EVENTS: [HwEvent; 6] = [
@@ -29,12 +29,12 @@ pub const FIG9_EVENTS: [HwEvent; 6] = [
 ];
 
 /// Measures the warm page-down on one OS.
-pub fn measure(profile: OsProfile) -> HwProfile {
+pub fn measure(cfg: &RunConfig, profile: OsProfile) -> HwProfile {
     latlab_core::sweep(
         &FIG9_EVENTS,
         1,
         move || {
-            let mut m = warm_powerpoint(profile, 4);
+            let mut m = warm_powerpoint(cfg.machine(profile.params()), 4);
             // Warm the operation itself once (page 4→5→4), leaving caches
             // and TLB in steady state, as the paper's repeated trials did.
             deliver_key_and_settle(&mut m, KeySym::PageDown);
@@ -46,14 +46,14 @@ pub fn measure(profile: OsProfile) -> HwProfile {
 }
 
 /// Runs Figure 9 on all three systems.
-pub fn run() -> (ExperimentReport, Vec<(OsProfile, HwProfile)>) {
+pub fn run(cfg: &RunConfig) -> (ExperimentReport, Vec<(OsProfile, HwProfile)>) {
     let mut report = ExperimentReport::new(
         "fig9",
         "Counter measurements for the PowerPoint page-down (§5.3, Figure 9)",
     );
     let profiles: Vec<(OsProfile, HwProfile)> = OsProfile::ALL
         .into_iter()
-        .map(|p| (p, measure(p)))
+        .map(|p| (p, measure(cfg, p)))
         .collect();
 
     report.line(format!(

@@ -1,8 +1,9 @@
 //! One module per reproduced table/figure, plus ablations.
 //!
-//! Every module exposes a `run()` returning an [`crate::report::ExperimentReport`]
-//! (sometimes with typed data alongside); `all()` enumerates the available
-//! experiment ids for the `repro` binary.
+//! Every module exposes a `run(&RunConfig)` returning an
+//! [`crate::report::ExperimentReport`] (sometimes with typed data
+//! alongside); [`ALL_IDS`] enumerates the available experiment ids for the
+//! `repro` binary.
 
 pub mod ablations;
 pub mod faultmatrix;
@@ -23,6 +24,7 @@ pub mod sec54;
 pub mod tab2;
 
 use crate::report::ExperimentReport;
+use crate::runner::RunConfig;
 
 /// Experiment ids in presentation order.
 pub const ALL_IDS: [&str; 17] = [
@@ -74,31 +76,40 @@ pub fn description(id: &str) -> &'static str {
     }
 }
 
-/// Runs one experiment by id, returning its reports (ablations yield
-/// several).
+/// Runs one experiment by id under the default [`RunConfig`], returning
+/// its reports (ablations yield several).
 ///
 /// # Panics
 ///
 /// Panics on an unknown id.
 pub fn run_by_id(id: &str) -> Vec<ExperimentReport> {
+    run(id, &RunConfig::default())
+}
+
+/// Runs one experiment by id under `cfg`, returning its reports.
+///
+/// # Panics
+///
+/// Panics on an unknown id.
+pub fn run(id: &str, cfg: &RunConfig) -> Vec<ExperimentReport> {
     match id {
-        "fig1" => vec![fig1::run().0],
-        "fig2" => vec![fig2::run()],
-        "fig3" => vec![fig3::run().0],
-        "fig4" => vec![fig4::run()],
-        "fig5" => vec![fig5::run()],
-        "fig6" => vec![fig6::run().0],
-        "fig7" => vec![fig7::run().0],
-        "fig8" => vec![fig8::run().0],
-        "fig9" => vec![fig9::run().0],
-        "fig10" => vec![fig10::run().0],
-        "fig11" => vec![fig11::run().0],
-        "tab2" => vec![tab2::run().0],
-        "fig12" => vec![fig12::run()],
-        "sec11" => vec![sec11::run()],
-        "sec54" => vec![sec54::run().0],
-        "ablations" => ablations::run_all(),
-        "faults" => vec![faultmatrix::run()],
+        "fig1" => vec![fig1::run(cfg).0],
+        "fig2" => vec![fig2::run(cfg)],
+        "fig3" => vec![fig3::run(cfg).0],
+        "fig4" => vec![fig4::run(cfg)],
+        "fig5" => vec![fig5::run(cfg)],
+        "fig6" => vec![fig6::run(cfg).0],
+        "fig7" => vec![fig7::run(cfg).0],
+        "fig8" => vec![fig8::run(cfg).0],
+        "fig9" => vec![fig9::run(cfg).0],
+        "fig10" => vec![fig10::run(cfg).0],
+        "fig11" => vec![fig11::run(cfg).0],
+        "tab2" => vec![tab2::run(cfg).0],
+        "fig12" => vec![fig12::run(cfg)],
+        "sec11" => vec![sec11::run(cfg)],
+        "sec54" => vec![sec54::run(cfg).0],
+        "ablations" => ablations::run_all(cfg),
+        "faults" => vec![faultmatrix::run(cfg)],
         // Hidden harness-test hook: not in ALL_IDS (so `repro` id validation
         // rejects it), used by robustness tests to prove that a panicking
         // scenario cannot take down a whole pass.

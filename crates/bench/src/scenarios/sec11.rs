@@ -20,7 +20,7 @@ use latlab_input::{workloads, InputScript, TestDriver};
 use latlab_os::{KeySym, OsProfile, ProcessSpec};
 
 use crate::report::ExperimentReport;
-use crate::runner::FREQ;
+use crate::runner::{RunConfig, FREQ};
 
 /// One configuration's readings.
 #[derive(Clone, Copy, Debug)]
@@ -33,13 +33,13 @@ struct Readings {
     refresh_mean_ms: f64,
 }
 
-fn measure(config: NotepadConfig) -> Readings {
+fn measure(cfg: &RunConfig, config: NotepadConfig) -> Readings {
     let chars = 600;
     let text = workloads::sample_document(chars, 280);
 
     // Throughput mode: input as fast as the system accepts it (1 ms).
     let burst = {
-        let mut session = latlab_core::MeasurementSession::new(OsProfile::Nt40);
+        let mut session = cfg.session(OsProfile::Nt40);
         session.launch_app(ProcessSpec::app("notepad"), Box::new(Notepad::new(config)));
         let script = InputScript::new().text(FREQ.ms(1), &text);
         TestDriver::clean().schedule(session.machine(), SimTime::ZERO + FREQ.ms(100), &script);
@@ -50,7 +50,7 @@ fn measure(config: NotepadConfig) -> Readings {
 
     // Paced mode: a real user at ~100 wpm, with latency extraction.
     let (over_50, refresh_mean) = {
-        let mut session = latlab_core::MeasurementSession::new(OsProfile::Nt40);
+        let mut session = cfg.session(OsProfile::Nt40);
         session.launch_app(ProcessSpec::app("notepad"), Box::new(Notepad::new(config)));
         let script = InputScript::new().text(FREQ.ms(121), &text);
         TestDriver::clean().schedule(session.machine(), SimTime::ZERO + FREQ.ms(100), &script);
@@ -81,17 +81,20 @@ fn measure(config: NotepadConfig) -> Readings {
 }
 
 /// Runs the §1.1 demonstration.
-pub fn run() -> ExperimentReport {
+pub fn run(cfg: &RunConfig) -> ExperimentReport {
     let mut report = ExperimentReport::new(
         "sec11",
         "The irrelevance of throughput (§1.1), demonstrated",
     );
-    let stock = measure(NotepadConfig::default());
+    let stock = measure(cfg, NotepadConfig::default());
     // The regression: screen refreshes (newline/page keystrokes) cost 2.5×.
-    let regressed = measure(NotepadConfig {
-        refresh_us: NotepadConfig::default().refresh_us * 5 / 2,
-        ..NotepadConfig::default()
-    });
+    let regressed = measure(
+        cfg,
+        NotepadConfig {
+            refresh_us: NotepadConfig::default().refresh_us * 5 / 2,
+            ..NotepadConfig::default()
+        },
+    );
 
     let elapsed_delta = (regressed.throughput_elapsed_s / stock.throughput_elapsed_s - 1.0) * 100.0;
     let refresh_delta = (regressed.refresh_mean_ms / stock.refresh_mean_ms - 1.0) * 100.0;

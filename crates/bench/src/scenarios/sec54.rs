@@ -14,7 +14,7 @@ use latlab_input::{workloads, TestDriver};
 use latlab_os::{InputKind, KeySym, OsProfile};
 
 use crate::report::ExperimentReport;
-use crate::runner::{run_session, App, FREQ};
+use crate::runner::{run_session, App, RunConfig, FREQ};
 
 /// One input mode's results.
 #[derive(Clone, Debug)]
@@ -29,8 +29,9 @@ pub struct ModeResult {
     pub background_s: f64,
 }
 
-fn run_mode(driver: TestDriver, script: &latlab_input::InputScript) -> ModeResult {
+fn run_mode(cfg: &RunConfig, driver: TestDriver, script: &latlab_input::InputScript) -> ModeResult {
     let out = run_session(
+        cfg,
         OsProfile::Nt351,
         App::Word,
         driver,
@@ -71,7 +72,7 @@ fn run_mode(driver: TestDriver, script: &latlab_input::InputScript) -> ModeResul
 }
 
 /// Runs the comparison.
-pub fn run() -> (ExperimentReport, ModeResult, ModeResult) {
+pub fn run(cfg: &RunConfig) -> (ExperimentReport, ModeResult, ModeResult) {
     let mut report = ExperimentReport::new(
         "sec54",
         "Test-driven vs. hand-generated Word input on NT 3.51 (§5.4)",
@@ -89,8 +90,8 @@ pub fn run() -> (ExperimentReport, ModeResult, ModeResult) {
     }
     .type_text(&text);
 
-    let test = run_mode(TestDriver::ms_test(), &test_script);
-    let hand = run_mode(TestDriver::clean(), &hand_with_crs);
+    let test = run_mode(cfg, TestDriver::ms_test(), &test_script);
+    let hand = run_mode(cfg, TestDriver::clean(), &hand_with_crs);
     let _ = hand_script;
 
     report.line(format!(

@@ -18,18 +18,19 @@ use latlab_input::{workloads, TestDriver};
 use latlab_os::OsProfile;
 
 use crate::report::ExperimentReport;
-use crate::runner::{event_points, run_session, App};
+use crate::runner::{event_points, run_session, App, RunConfig};
 
 /// The paper's thresholds (ms).
 pub const THRESHOLDS_MS: [f64; 3] = [100.0, 110.0, 120.0];
 
 /// Runs Table 2.
-pub fn run() -> (ExperimentReport, Vec<latlab_analysis::InterarrivalRow>) {
+pub fn run(cfg: &RunConfig) -> (ExperimentReport, Vec<latlab_analysis::InterarrivalRow>) {
     let mut report = ExperimentReport::new(
         "tab2",
         "Interarrival distributions of long Word events, NT 3.51 (§6, Table 2)",
     );
     let out = run_session(
+        cfg,
         OsProfile::Nt351,
         App::Word,
         TestDriver::ms_test(),

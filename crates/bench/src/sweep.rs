@@ -25,9 +25,11 @@
 //!
 //! The contract is **byte identity**: a forked sweep's output is
 //! bit-for-bit the output of `--no-fork` (every point simulated from
-//! scratch, every repetition a full re-simulation). CI diffs the two
-//! modes' stdout and CSV; the engine itself asserts that repetitions
-//! agree. Fork accounting ([`SweepStats`]) is reported out of band.
+//! scratch, every repetition a full re-simulation; the calling thread's
+//! [`crate::forkcfg`] setting). CI diffs the two modes' stdout and CSV;
+//! the engine itself asserts that repetitions agree. Fork accounting
+//! ([`SweepStats`]) is reported out of band. Sweep machines always boot
+//! with idle fast-forward on, so worker threads need no setup.
 
 use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Mutex};
@@ -36,7 +38,7 @@ use latlab_core::{BoundaryPolicy, MeasurementSession, SessionSnapshot};
 use latlab_input::{workloads, TestDriver};
 use latlab_os::{KeySym, Machine, MachineSnapshot, OsParams, OsProfile, ProcessSpec};
 
-use crate::runner::{deliver_key_and_settle, warm_powerpoint_params, FREQ};
+use crate::runner::{deliver_key_and_settle, warm_powerpoint, FREQ};
 
 /// Parameters the sweep tool can vary — the kernel's canonical list
 /// (`latlab_os::sweep::SweptParam`), re-exported under the harness's
@@ -111,9 +113,9 @@ impl SweepMetric {
                 machine.set_focus(tid);
                 Prepared::Machine(machine)
             }
-            SweepMetric::PagedownMs => Prepared::Machine(warm_powerpoint_params(params, 5)),
+            SweepMetric::PagedownMs => Prepared::Machine(warm_powerpoint(Machine::new(params), 5)),
             SweepMetric::NotepadCumulativeS => {
-                let mut session = MeasurementSession::with_params(params);
+                let mut session = MeasurementSession::with_params(params, true);
                 session.launch_app(
                     ProcessSpec::app("notepad"),
                     Box::new(latlab_apps::Notepad::new(
@@ -457,65 +459,6 @@ fn run_point(
     }
 }
 
-/// Runs a sweep sequentially, one repetition per point (equivalent to
-/// [`run_sweep_reps`] with `reps = 1`, `jobs = 1`).
-pub fn run_sweep(
-    profile: OsProfile,
-    param: SweepParam,
-    metric: SweepMetric,
-    values: &[u64],
-) -> Vec<SweepPoint> {
-    run_sweep_reps(profile, param, metric, values, 1, 1).0
-}
-
-/// Runs a single-repetition sweep across `jobs` worker threads (`0` = one
-/// per core). See [`run_sweep_reps`].
-pub fn run_sweep_jobs(
-    profile: OsProfile,
-    param: SweepParam,
-    metric: SweepMetric,
-    values: &[u64],
-    jobs: usize,
-) -> Vec<SweepPoint> {
-    run_sweep_reps(profile, param, metric, values, 1, jobs).0
-}
-
-/// Runs a sweep — `reps` repetitions of each value, fanned out across
-/// `jobs` worker threads (`0` = one per core; each point is one job, its
-/// repetitions run on that job's worker).
-///
-/// Every point is a deterministic simulation, so the result vector is
-/// identical — in values, order, and bits — whatever `jobs` is, whether
-/// forking is enabled (the calling thread's [`crate::forkcfg`] setting),
-/// and whatever `reps` is. Workers inherit the calling thread's idle
-/// fast-forward setting too.
-pub fn run_sweep_reps(
-    profile: OsProfile,
-    param: SweepParam,
-    metric: SweepMetric,
-    values: &[u64],
-    reps: usize,
-    jobs: usize,
-) -> (Vec<SweepPoint>, SweepStats) {
-    let ff = latlab_os::fastforward::default_enabled();
-    let snap0 = sweep_snap0(profile, metric);
-    let stats = Mutex::new(SweepStats::default());
-    let points =
-        crate::pool::run_collect(crate::pool::resolve_jobs(jobs), values.len(), |i: usize| {
-            let _ff = latlab_os::fastforward::override_default(ff);
-            run_point(
-                profile,
-                param,
-                metric,
-                values[i],
-                reps,
-                snap0.as_ref(),
-                &stats,
-            )
-        });
-    (points, stats.into_inner().unwrap())
-}
-
 /// The shared stock prefix for a sweep, honoring the calling thread's
 /// fork setting.
 fn sweep_snap0(profile: OsProfile, metric: SweepMetric) -> Option<Mutex<PreparedSnapshot>> {
@@ -534,9 +477,11 @@ fn sweep_snap0(profile: OsProfile, metric: SweepMetric) -> Option<Mutex<Prepared
 /// the fork engine's headline speedup comes from.
 ///
 /// Returns one `Vec<SweepPoint>` per input column, in order, plus the
-/// aggregate fork accounting. Results are bit-identical to running each
-/// column through [`run_sweep_reps`] (and therefore to `--no-fork`
-/// scratch runs), whatever `jobs` is.
+/// aggregate fork accounting. Every point is a deterministic simulation,
+/// so the results are identical — in values, order and bits — whatever
+/// `jobs` (`0` = one per core) and `reps` are, whether forking is enabled
+/// (the calling thread's [`crate::forkcfg`] setting), and whether a column
+/// runs alone or in a grid.
 pub fn run_sweep_grid(
     profile: OsProfile,
     metric: SweepMetric,
@@ -544,7 +489,6 @@ pub fn run_sweep_grid(
     reps: usize,
     jobs: usize,
 ) -> (Vec<Vec<SweepPoint>>, SweepStats) {
-    let ff = latlab_os::fastforward::default_enabled();
     let snap0 = sweep_snap0(profile, metric);
     let stats = Mutex::new(SweepStats::default());
     let flat: Vec<(SweepParam, u64)> = columns
@@ -553,7 +497,6 @@ pub fn run_sweep_grid(
         .collect();
     let points =
         crate::pool::run_collect(crate::pool::resolve_jobs(jobs), flat.len(), |i: usize| {
-            let _ff = latlab_os::fastforward::override_default(ff);
             let (param, value) = flat[i];
             run_point(profile, param, metric, value, reps, snap0.as_ref(), &stats)
         });
@@ -565,8 +508,8 @@ pub fn run_sweep_grid(
     (out, stats.into_inner().unwrap())
 }
 
-/// Like [`run_sweep_reps`], but supervised: a point whose simulation
-/// panics (or exceeds `timeout`) is reported as a failed
+/// A one-column [`run_sweep_grid`], but supervised: a point whose
+/// simulation panics (or exceeds `timeout`) is reported as a failed
 /// [`JobOutcome`](crate::pool::JobOutcome) while every other point still
 /// completes. Results come back as `(value, outcome)` pairs in input
 /// order.
@@ -581,7 +524,6 @@ pub fn run_sweep_supervised(
 ) -> (Vec<(u64, crate::pool::JobOutcome<SweepPoint>)>, SweepStats) {
     let values: Arc<Vec<u64>> = Arc::new(values.to_vec());
     let worker_values = Arc::clone(&values);
-    let ff = latlab_os::fastforward::default_enabled();
     let snap0: Arc<Option<Mutex<PreparedSnapshot>>> = Arc::new(sweep_snap0(profile, metric));
     let worker_snap0 = Arc::clone(&snap0);
     let stats = Arc::new(Mutex::new(SweepStats::default()));
@@ -592,7 +534,6 @@ pub fn run_sweep_supervised(
         values.len(),
         timeout,
         move |i| {
-            let _ff = latlab_os::fastforward::override_default(ff);
             run_point(
                 profile,
                 param,
@@ -612,6 +553,20 @@ pub fn run_sweep_supervised(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A one-column [`run_sweep_grid`].
+    fn run_column(
+        profile: OsProfile,
+        param: SweepParam,
+        metric: SweepMetric,
+        values: &[u64],
+        reps: usize,
+        jobs: usize,
+    ) -> (Vec<SweepPoint>, SweepStats) {
+        let (mut columns, stats) =
+            run_sweep_grid(profile, metric, &[(param, values.to_vec())], reps, jobs);
+        (columns.remove(0), stats)
+    }
 
     #[test]
     fn parse_names() {
@@ -637,11 +592,13 @@ mod tests {
 
     #[test]
     fn crossing_sweep_moves_keystroke_latency() {
-        let points = run_sweep(
+        let (points, _) = run_column(
             OsProfile::Nt351,
             SweepParam::CrossingInstr,
             SweepMetric::KeystrokeMs,
             &[1_000, 20_000],
+            1,
+            1,
         );
         assert!(
             points[1].metric > points[0].metric + 0.1,
@@ -652,17 +609,20 @@ mod tests {
     #[test]
     fn parallel_sweep_matches_sequential() {
         let values = [1_000, 5_000, 10_000, 20_000];
-        let seq = run_sweep(
+        let (seq, _) = run_column(
             OsProfile::Nt40,
             SweepParam::CrossingInstr,
             SweepMetric::KeystrokeMs,
             &values,
+            1,
+            1,
         );
-        let par = run_sweep_jobs(
+        let (par, _) = run_column(
             OsProfile::Nt40,
             SweepParam::CrossingInstr,
             SweepMetric::KeystrokeMs,
             &values,
+            1,
             4,
         );
         for (a, b) in seq.iter().zip(&par) {
@@ -682,7 +642,7 @@ mod tests {
     fn forked_sweep_is_byte_identical_to_scratch() {
         let stock = SweepParam::InputDispatchInstr.stock(OsProfile::Nt40);
         let values = [stock / 2, stock, stock * 3];
-        let (forked, fstats) = run_sweep_reps(
+        let (forked, fstats) = run_column(
             OsProfile::Nt40,
             SweepParam::InputDispatchInstr,
             SweepMetric::NotepadKeystrokeMs,
@@ -691,7 +651,7 @@ mod tests {
             1,
         );
         let _scratch_mode = crate::forkcfg::override_default(false);
-        let (scratch, sstats) = run_sweep_reps(
+        let (scratch, sstats) = run_column(
             OsProfile::Nt40,
             SweepParam::InputDispatchInstr,
             SweepMetric::NotepadKeystrokeMs,
@@ -731,7 +691,7 @@ mod tests {
         // provably unread through the warm prefix: every point forks, and
         // the metric is flat across values.
         let stock = SweepParam::WriteOverheadMilli.stock(OsProfile::Nt40);
-        let (points, stats) = run_sweep_reps(
+        let (points, stats) = run_column(
             OsProfile::Nt40,
             SweepParam::WriteOverheadMilli,
             SweepMetric::NotepadKeystrokeMs,
@@ -749,7 +709,7 @@ mod tests {
         // The buffer cache is sized at boot, so cache-blocks can never
         // fork — the engine must prove it and re-simulate.
         let stock = SweepParam::CacheBlocks.stock(OsProfile::Nt40);
-        let (_, stats) = run_sweep_reps(
+        let (_, stats) = run_column(
             OsProfile::Nt40,
             SweepParam::CacheBlocks,
             SweepMetric::KeystrokeMs,
@@ -775,7 +735,7 @@ mod tests {
             run_sweep_grid(OsProfile::Nt40, SweepMetric::KeystrokeMs, &columns, 1, 2);
         assert_eq!(grid.len(), columns.len());
         for ((param, values), points) in columns.iter().zip(&grid) {
-            let (solo, _) = run_sweep_reps(
+            let (solo, _) = run_column(
                 OsProfile::Nt40,
                 *param,
                 SweepMetric::KeystrokeMs,

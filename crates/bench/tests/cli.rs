@@ -64,6 +64,11 @@ fn usage_errors_exit_2() {
         (REPRO, &["--jobs", "0"]),
         (REPRO, &["--faults", "nonsense-spec"]),
         (REPRO, &["no-such-experiment"]),
+        // Removed switches: no scenario sweeps, and sweep machines always
+        // fast-forward.
+        (REPRO, &["--no-fork"]),
+        (SWEEP, &["--no-fastforward"]),
+        (PERF, &["--no-fork"]),
         (SWEEP, &[]),
         (SWEEP, &["--no-such-flag"]),
         (SWEEP, &["--os", "plan9"]),

@@ -201,9 +201,11 @@ pub fn collect(machine: &mut Machine, handle: IdleLoopHandle, baseline: SimDurat
 /// otherwise idle machine (§2.3), using the median sample to reject
 /// clock-interrupt perturbation.
 ///
-/// Returns the calibrated N (instructions per iteration).
-pub fn calibrate_n(params: &OsParams, target: SimDuration) -> u64 {
-    calibrate_n_tracked(params, target).0
+/// Returns the calibrated N (instructions per iteration). `fastforward`
+/// is handed to every scratch machine ([`Machine::set_fast_forward`]); N
+/// is identical either way.
+pub fn calibrate_n(params: &OsParams, target: SimDuration, fastforward: bool) -> u64 {
+    calibrate_n_tracked(params, target, fastforward).0
 }
 
 /// [`calibrate_n`], additionally reporting which sweepable parameters the
@@ -217,12 +219,16 @@ pub fn calibrate_n(params: &OsParams, target: SimDuration) -> u64 {
 /// planner can never fork across a parameter that would have changed the
 /// calibration. The dependency set is collected mechanically from the
 /// scratch machines' own watermark tables — no hand-maintained list.
-pub fn calibrate_n_tracked(params: &OsParams, target: SimDuration) -> (u64, ParamWatermarks) {
+pub fn calibrate_n_tracked(
+    params: &OsParams,
+    target: SimDuration,
+    fastforward: bool,
+) -> (u64, ParamWatermarks) {
     assert!(!target.is_zero(), "calibration target must be non-zero");
     let mut reads = ParamWatermarks::new();
     let mut n = target.cycles(); // Initial guess: CPI 1, zero overhead.
     for _ in 0..3 {
-        let (median, sample_reads) = median_sample(params, n);
+        let (median, sample_reads) = median_sample(params, n, fastforward);
         reads.absorb(&sample_reads, latlab_des::SimTime::ZERO);
         if median == 0 {
             break;
@@ -240,8 +246,9 @@ pub fn calibrate_n_tracked(params: &OsParams, target: SimDuration) -> (u64, Para
 
 /// Runs a scratch machine with the idle loop only and returns the median
 /// inter-record interval in cycles plus the machine's watermark table.
-fn median_sample(params: &OsParams, n_instr: u64) -> (u64, ParamWatermarks) {
+fn median_sample(params: &OsParams, n_instr: u64, fastforward: bool) -> (u64, ParamWatermarks) {
     let mut machine = Machine::new(params.clone());
+    machine.set_fast_forward(fastforward);
     let handle = install(
         &mut machine,
         IdleLoopConfig {
@@ -272,9 +279,9 @@ mod tests {
         for profile in OsProfile::ALL {
             let params = profile.params();
             let target = params.freq.ms(1);
-            let n = calibrate_n(&params, target);
+            let n = calibrate_n(&params, target, true);
             // Verify: median sample on an idle machine is within 2% of 1 ms.
-            let (median, _) = super::median_sample(&params, n);
+            let (median, _) = super::median_sample(&params, n, true);
             let err = (median as f64 - target.cycles() as f64).abs() / target.cycles() as f64;
             assert!(
                 err < 0.02,
@@ -286,7 +293,7 @@ mod tests {
     #[test]
     fn idle_machine_produces_one_record_per_ms() {
         let params = OsProfile::Nt40.params();
-        let n = calibrate_n(&params, params.freq.ms(1));
+        let n = calibrate_n(&params, params.freq.ms(1), true);
         let mut machine = Machine::new(params.clone());
         let handle = install(&mut machine, IdleLoopConfig::with_n(n));
         machine.run_for(params.freq.ms(200));
@@ -325,7 +332,7 @@ mod tests {
     fn fast_forward_stamps_are_bit_identical() {
         for profile in OsProfile::ALL {
             let params = profile.params();
-            let n = calibrate_n(&params, params.freq.ms(1));
+            let n = calibrate_n(&params, params.freq.ms(1), true);
             let run = |ff: bool| {
                 let mut machine = Machine::new(params.clone());
                 machine.set_fast_forward(ff);
@@ -364,14 +371,8 @@ mod tests {
     fn calibration_identical_with_and_without_fast_forward() {
         let params = OsProfile::Win95.params();
         let target = params.freq.ms(1);
-        let n_fast = {
-            let _g = latlab_os::fastforward::override_default(true);
-            calibrate_n(&params, target)
-        };
-        let n_step = {
-            let _g = latlab_os::fastforward::override_default(false);
-            calibrate_n(&params, target)
-        };
+        let n_fast = calibrate_n(&params, target, true);
+        let n_step = calibrate_n(&params, target, false);
         assert_eq!(
             n_fast, n_step,
             "calibration must not depend on fast-forward"

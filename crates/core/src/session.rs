@@ -42,14 +42,17 @@ impl MeasurementSession {
     /// Boots a session on the given OS: calibrates the idle loop on a
     /// scratch machine (§2.3), then installs it on a fresh one.
     pub fn new(profile: OsProfile) -> Self {
-        Self::with_params(profile.params())
+        Self::with_params(profile.params(), true)
     }
 
     /// Boots a session on a custom parameter set (ablations and sweeps).
-    pub fn with_params(params: OsParams) -> Self {
+    /// `fastforward` reaches the session machine and every calibration
+    /// scratch machine ([`Machine::set_fast_forward`]).
+    pub fn with_params(params: OsParams, fastforward: bool) -> Self {
         let target = params.freq.ms(1);
-        let (n, calibration_reads) = idle_loop::calibrate_n_tracked(&params, target);
+        let (n, calibration_reads) = idle_loop::calibrate_n_tracked(&params, target, fastforward);
         let mut machine = Machine::new(params);
+        machine.set_fast_forward(fastforward);
         // The calibrated N bakes the calibration machines' parameter
         // dependencies into this session; fold them in at time zero so a
         // snapshot of this session can never claim a fork across them is

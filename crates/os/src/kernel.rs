@@ -342,8 +342,8 @@ pub struct Machine {
     last_ran: Option<ThreadId>,
     stats: MachineStats,
     faults: Option<FaultEngine>,
-    /// Idle fast-forward enabled (captured from the thread-local default at
-    /// boot; see [`crate::fastforward`]).
+    /// Idle fast-forward enabled (on at boot; see
+    /// [`Machine::set_fast_forward`]).
     fastforward: bool,
     /// Fast-forward diagnostic counters.
     ff_stats: FastForwardStats,
@@ -415,7 +415,7 @@ impl Machine {
             last_ran: None,
             stats: MachineStats::default(),
             faults: None,
-            fastforward: crate::fastforward::default_enabled(),
+            fastforward: true,
             ff_stats: FastForwardStats::default(),
             ff_stamps: Vec::new(),
             loop_turns: 0,
@@ -703,9 +703,9 @@ impl Machine {
         self.api_sink.take()
     }
 
-    /// Enables or disables idle fast-forward, overriding the thread-local
-    /// default captured at boot. Fast-forward is observationally
-    /// transparent (see [`Machine::try_fast_forward`]); disabling it keeps
+    /// Enables or disables idle fast-forward (every machine boots with it
+    /// on). Fast-forward is observationally
+    /// transparent (see `Machine::try_fast_forward`); disabling it keeps
     /// the step-by-step path alive as the equivalence oracle.
     pub fn set_fast_forward(&mut self, enabled: bool) {
         self.fastforward = enabled;

@@ -20,7 +20,6 @@
 
 pub mod apilog;
 pub mod bufcache;
-pub mod fastforward;
 pub mod fs;
 pub mod ground_truth;
 pub mod kernel;
@@ -34,7 +33,6 @@ pub mod tracebridge;
 pub mod win32;
 
 pub use apilog::{ApiEntry, ApiLog, ApiLogEntry, ApiOutcome};
-pub use fastforward::FastForwardOverride;
 pub use fs::FileId;
 pub use ground_truth::{GroundTruth, GtEvent};
 pub use kernel::{
